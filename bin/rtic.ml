@@ -202,7 +202,7 @@ let run_incremental_with_state ?metrics ?tracer ?pool config cat past_defs
    service; an existing one is recovered (checkpoint + WAL replay) and
    trace transactions that recovery already covered are skipped, so the
    same invocation can simply be re-run after a crash. *)
-let run_supervised ?tracer ?pool ~ppf config cat past_defs (tr : Trace.t)
+let run_supervised ?tracer ?pool ~ppf cat past_defs (tr : Trace.t)
     state_dir auto_ck on_error aux_budget group_commit wal_format quiet
     want_stats want_json =
   let policy = or_die (Supervisor.policy_of_string on_error) in
@@ -258,7 +258,6 @@ let run_supervised ?tracer ?pool ~ppf config cat past_defs (tr : Trace.t)
              ~init:tr.Trace.init ~state_dir cat past_defs),
         tr.Trace.steps )
   in
-  ignore config;
   let reports = ref [] in
   let dropped = ref 0 in
   let repaired_txns = ref 0 in
@@ -306,22 +305,17 @@ let run_supervised ?tracer ?pool ~ppf config cat past_defs (tr : Trace.t)
       incr dropped;
       Printf.eprintf "rtic: dropped transaction at time %d: %s\n" time reason
   in
-  if group_commit <= 1 then
-    List.iter
-      (fun (time, txn) -> handle time (or_die (Supervisor.step sup ~time txn)))
-      steps
-  else begin
-    (* Group commit: outcomes are released in submission order when their
-       batch flushes; pair them back with their commit times FIFO. *)
-    let times = Queue.create () in
-    let drain outs = List.iter (fun o -> handle (Queue.pop times) o) outs in
-    List.iter
-      (fun (time, txn) ->
-        Queue.push time times;
-        drain (or_die (Supervisor.submit sup ~time txn)))
-      steps;
-    drain (Supervisor.flush sup)
-  end;
+  (* Outcomes are released in submission order when their batch flushes
+     (at once when group_commit = 1); pair them back with their commit
+     times FIFO. *)
+  let times = Queue.create () in
+  let drain outs = List.iter (fun o -> handle (Queue.pop times) o) outs in
+  List.iter
+    (fun (time, txn) ->
+      Queue.push time times;
+      drain (or_die (Supervisor.submit sup ~time txn)))
+    steps;
+  drain (Supervisor.flush sup);
   (match Supervisor.quarantined sup with
    | [] -> ()
    | q ->
@@ -423,11 +417,12 @@ let run_check spec_file trace_file engine no_prune jobs quiet load save
       usage_error "--state-dir requires --engine incremental";
     if load <> None || save <> None then
       usage_error "--state-dir conflicts with --load-state/--save-state";
+    if no_prune then usage_error "--state-dir conflicts with --no-prune";
     if future_defs <> [] then
       usage_error
         "--state-dir supports past-only constraints (future operators need \
          verdict delay, which is not crash-safe)";
-    run_supervised ?tracer ?pool ~ppf config cat past_defs tr dir auto_ck
+    run_supervised ?tracer ?pool ~ppf cat past_defs tr dir auto_ck
       on_error aux_budget group_commit wal_format quiet want_stats want_json
   | None ->
     if

@@ -1,85 +1,85 @@
-(* Round-robin fan-out plan for per-constraint checkers (Monitor and
-   Supervisor). The constraint set is partitioned checker-by-checker
-   across the pool's shards; each shard records into a private Metrics
-   recorder (the main recorder is not thread-safe), and after every
-   parallel step the coordinator copies the shard rows back onto the main
-   recorder's sequential-order rows, so the main recorder's document is
-   identical to what a sequential run would have produced. *)
-
-type entry = {
-  e_shard : int;
-  e_src : int;  (* first row in the shard recorder *)
-  e_dst : int;  (* first row in the main recorder *)
-  e_count : int;
-}
+(* The shard runner behind every parallel engine path. The caller fixes the
+   partition; this module owns the pool round trip, the shard spans, the
+   choice of the reported error, and the per-shard metrics recorders
+   (the main recorder is not thread-safe), whose rows are copied back onto
+   the main recorder's sequential-order rows after every successful step,
+   so the main recorder's document is identical to what a sequential run
+   would have produced. *)
 
 type t = {
   pool : Pool.t;
   main : Metrics.t option;
-  nshards : int;
-  shard_of : int array;  (* checker index -> shard *)
-  groups : int array array;  (* checker indices per shard, ascending *)
+  groups : int array array;  (* item indices per shard, ascending *)
+  items : int;
   recorders : Metrics.t array;  (* [||] when [main] is [None] *)
-  mutable entries : entry list;  (* newest first *)
-  src_next : int array;  (* rows accounted so far, per shard recorder *)
+  slots : int array array;  (* per shard: shard row j -> main row *)
 }
 
-let make ?metrics pool n =
-  let nshards = min (Pool.size pool) n in
-  let shard_of = Array.init n (fun i -> i mod nshards) in
-  let groups =
-    Array.init nshards (fun s ->
-        Array.of_list
-          (List.filter (fun i -> shard_of.(i) = s)
-             (List.init n (fun i -> i))))
-  in
+let make ?metrics pool groups =
+  let nshards = Array.length groups in
   { pool;
     main = metrics;
-    nshards;
-    shard_of;
     groups;
+    items = Array.fold_left (fun acc g -> acc + Array.length g) 0 groups;
     recorders =
       (match metrics with
        | None -> [||]
        | Some _ -> Array.init nshards (fun _ -> Metrics.create ()));
-    entries = [];
-    src_next = Array.make nshards 0 }
+    slots = Array.make nshards [||] }
 
-let pool t = t.pool
-let nshards t = t.nshards
 let groups t = t.groups
 
-let shard_metrics t i =
-  if Array.length t.recorders = 0 then None
-  else Some t.recorders.(t.shard_of.(i))
+let shard_metrics t s =
+  if Array.length t.recorders = 0 then None else Some t.recorders.(s)
 
-(* Mirror checker [i]'s shard-recorder registration into the main
-   recorder: the checker just appended [names] rows to its shard recorder
-   (via Kernel.create), and the main recorder now gets the same rows at
-   the position a sequential run would have put them. *)
-let register t i names =
-  match t.main with
-  | None -> ()
-  | Some main ->
-    let s = t.shard_of.(i) in
-    let count = List.length names in
-    let e_src = t.src_next.(s) in
-    t.src_next.(s) <- e_src + count;
-    let e_dst = Metrics.register_nodes main names in
-    t.entries <- { e_shard = s; e_src; e_dst; e_count = count } :: t.entries
+let mirror t s rows =
+  if t.main <> None then t.slots.(s) <- Array.append t.slots.(s) rows
+
+let sum t f = Array.fold_left (fun acc r -> acc + f r) 0 t.recorders
 
 let sync t =
   match t.main with
   | None -> ()
   | Some main ->
-    List.iter
-      (fun e ->
-        let src = t.recorders.(e.e_shard) in
-        for j = 0 to e.e_count - 1 do
-          Metrics.copy_node ~src (e.e_src + j) ~dst:main (e.e_dst + j)
-        done)
-      t.entries;
-    let sum f = Array.fold_left (fun acc r -> acc + f r) 0 t.recorders in
-    Metrics.set_steps main (sum Metrics.steps);
-    Metrics.set_cache_counts main ~hits:(sum Metrics.cache_hits)
-      ~misses:(sum Metrics.cache_misses)
+    Array.iteri
+      (fun s rows ->
+        Array.iteri
+          (fun j row -> Metrics.copy_node ~src:t.recorders.(s) j ~dst:main row)
+          rows)
+      t.slots;
+    Metrics.set_cache_counts main ~hits:(sum t Metrics.cache_hits)
+      ~misses:(sum t Metrics.cache_misses)
+
+let run ?tracer t work =
+  let timed = tracer <> None in
+  let outs =
+    Pool.run t.pool
+      (Array.mapi
+         (fun s group () ->
+           let w0 = if timed then Unix.gettimeofday () else 0.0 in
+           let r = work s group in
+           (r, w0, if timed then Unix.gettimeofday () else 0.0))
+         t.groups)
+  in
+  (match tracer with
+   | None -> ()
+   | Some tr ->
+     Array.iteri
+       (fun s ((_, w0, w1) : _ * float * float) ->
+         Tracer.timed_span tracer ~cat:"shard" ~name:(string_of_int s)
+           ~arg:(string_of_int (Array.length t.groups.(s)))
+           ~t0_ns:(Tracer.stamp tr w0) ~t1_ns:(Tracer.stamp tr w1) ())
+       outs);
+  let results = Array.make t.items None in
+  let err =
+    Array.fold_left
+      (fun acc ((stepped, e), _, _) ->
+        List.iter (fun (i, r) -> results.(i) <- Some r) stepped;
+        match (acc, e) with
+        | Some (j, _), Some (i, _) when j <= i -> acc
+        | _, Some _ -> e
+        | _, None -> acc)
+      None outs
+  in
+  if err = None then sync t;
+  (results, err)

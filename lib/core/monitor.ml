@@ -15,27 +15,34 @@ type t = {
   checkers : Incremental.t list;  (* in registration order *)
   metrics : Metrics.t option;
   tracer : Tracer.t option;
-  fan : Fanout.t option;  (* parallel plan; None = sequential *)
+  fan : Fanout.t option;  (* round-robin shard plan; None = sequential *)
 }
 
 let ( let* ) r f = Result.bind r f
 
 (* Build the checkers in registration order. With a pool of size > 1 the
-   checkers are partitioned round-robin (Fanout): each is created against
-   its shard's private recorder and without a tracer (both are
-   single-threaded recorders), and the main recorder receives the same
-   gauge rows in the same order a sequential run would have registered
-   them. [mk] admits one checker from its def plus a per-def payload
-   (unit for [create], the checkpoint section for [of_text]). *)
+   checkers are partitioned round-robin (checker [i] lands in shard
+   [i mod nshards]): each is created against its shard's private recorder
+   and without a tracer (both are single-threaded recorders), and the main
+   recorder receives the same gauge rows in the same order a sequential
+   run would have registered them. [mk] admits one checker from its def
+   plus a per-def payload (unit for [create], the checkpoint section for
+   [of_text]). *)
 let build ?metrics ?tracer ?pool ~db defs payloads mk =
   let names = List.map (fun (d : Formula.def) -> d.name) defs in
-  if List.length (List.sort_uniq String.compare names) <> List.length names
-  then Error "duplicate constraint names"
+  let n = List.length defs in
+  if List.length (List.sort_uniq String.compare names) <> n then
+    Error "duplicate constraint names"
   else begin
     let fan =
       match pool with
-      | Some p when Pool.size p > 1 && List.length defs > 1 ->
-        Some (Fanout.make ?metrics p (List.length defs))
+      | Some p when Pool.size p > 1 && n > 1 ->
+        let k = min (Pool.size p) n in
+        let shard s =
+          Array.of_list
+            (List.filter (fun i -> i mod k = s) (List.init n Fun.id))
+        in
+        Some (Fanout.make ?metrics p (Array.init k shard))
       | _ -> None
     in
     let* checkers =
@@ -45,11 +52,20 @@ let build ?metrics ?tracer ?pool ~db defs payloads mk =
           let* c =
             match fan with
             | None -> mk ?metrics ?tracer d payload
-            | Some fan -> mk ?metrics:(Fanout.shard_metrics fan i) ?tracer:None d payload
+            | Some fan ->
+              let s = i mod Array.length (Fanout.groups fan) in
+              let* c =
+                mk ?metrics:(Fanout.shard_metrics fan s) ?tracer:None d payload
+              in
+              Option.iter
+                (fun main ->
+                  let names = Incremental.node_names c in
+                  let base = Metrics.register_nodes main names in
+                  Fanout.mirror fan s
+                    (Array.init (List.length names) (fun j -> base + j)))
+                metrics;
+              Ok c
           in
-          (match fan with
-           | Some fan -> Fanout.register fan i (Incremental.node_names c)
-           | None -> ());
           Ok (i + 1, c :: acc))
         (Ok (0, []))
         defs payloads
@@ -68,105 +84,77 @@ let create ?metrics ?tracer ?pool ?config cat defs =
   create_with ?metrics ?tracer ?pool ?config (Database.create cat) defs
 
 let database m = m.db
+let checkers m = m.checkers
 
-(* The resilience layer (Supervisor) steps checkers individually so it can
-   quarantine one without stopping the rest; it re-enters through these. *)
-let parts m = (m.db, m.checkers)
-let fanout m = m.fan
-let of_parts ?metrics ?tracer db checkers =
-  { db; checkers; metrics; tracer; fan = None }
-
-let step_seq m ~time db =
-  let* checkers, reports =
-    List.fold_left
-      (fun acc c ->
-        let* checkers, reports = acc in
-        let* c, v = Incremental.step c ~time db in
-        let reports =
-          if v.Incremental.satisfied then reports
-          else
-            { constraint_name = (Incremental.def c).Formula.name;
-              position = v.Incremental.index;
-              time }
-            :: reports
-        in
-        Ok (c :: checkers, reports))
-      (Ok ([], []))
-      m.checkers
+(* Step the checkers [group] (ascending indices into [cs]) on [db], leaving
+   out those [skip] names, and stop at the first error. [on_step] sees each
+   checker as soon as it is stepped. Returns the stepped results and the
+   failing checker's index and error, if any. *)
+let step_group ~skip ~on_step cs ~time db group =
+  let rec go acc k =
+    if k = Array.length group then (acc, None)
+    else
+      let i = group.(k) in
+      let c = cs.(i) in
+      if skip (Incremental.def c).Formula.name then go acc (k + 1)
+      else
+        match Incremental.step c ~time db with
+        | Error e -> (acc, Some (i, e))
+        | Ok (c, v) ->
+          on_step c;
+          go ((i, (c, v)) :: acc) (k + 1)
   in
-  Ok (List.rev checkers, List.rev reports)
+  go [] 0
 
-(* One parallel step: each shard steps its checkers in ascending order;
-   verdicts are scattered back to registration order, and if any checker
-   failed the error of the lowest-index one is returned — the same error a
-   sequential run would have stopped on. *)
-let step_par m fan ~time db =
+(* Sequentially the group is every checker and [after] runs inline, so its
+   side effects interleave with the checkers' own trace spans. Under a pool
+   the shards never call [after]: the coordinator replays it in
+   registration order for the checkers stepped before the first error, the
+   same set the sequential loop visits. *)
+let check ?(skip = fun _ -> false) ?(after = ignore) m ~time db =
   let cs = Array.of_list m.checkers in
-  let timed = m.tracer <> None in
-  let outs =
-    Pool.run (Fanout.pool fan)
-      (Array.map
-         (fun idxs () ->
-           let w0 = if timed then Unix.gettimeofday () else 0.0 in
-           let rec go acc = function
-             | [] -> Ok (List.rev acc)
-             | i :: rest ->
-               (match Incremental.step cs.(i) ~time db with
-                | Error e -> Error (i, e)
-                | Ok (c, v) -> go ((i, c, v) :: acc) rest)
-           in
-           let r = go [] (Array.to_list idxs) in
-           (r, w0, if timed then Unix.gettimeofday () else 0.0))
-         (Fanout.groups fan))
-  in
-  (match m.tracer with
-   | None -> ()
-   | Some tr ->
-     Array.iteri
-       (fun s ((_, w0, w1) : _ * float * float) ->
-         Tracer.timed_span m.tracer ~cat:"shard" ~name:(string_of_int s)
-           ~arg:(string_of_int (Array.length (Fanout.groups fan).(s)))
-           ~t0_ns:(Tracer.stamp tr w0) ~t1_ns:(Tracer.stamp tr w1) ())
-       outs);
-  let err =
-    Array.fold_left
-      (fun acc (r, _, _) ->
-        match r with
-        | Error (i, e) ->
-          (match acc with
-           | Some (j, _) when j <= i -> acc
-           | _ -> Some (i, e))
-        | Ok _ -> acc)
-      None outs
+  let n = Array.length cs in
+  let stepped, err =
+    match m.fan with
+    | None ->
+      let results, err =
+        step_group ~skip ~on_step:after cs ~time db (Array.init n Fun.id)
+      in
+      let stepped = Array.make n None in
+      List.iter (fun (i, r) -> stepped.(i) <- Some r) results;
+      (stepped, err)
+    | Some fan ->
+      let stepped, err =
+        Fanout.run ?tracer:m.tracer fan (fun _ group ->
+            step_group ~skip ~on_step:ignore cs ~time db group)
+      in
+      let stop = match err with Some (i, _) -> i | None -> n in
+      for i = 0 to stop - 1 do
+        Option.iter (fun (c, _) -> after c) stepped.(i)
+      done;
+      (match (err, m.metrics) with
+       | None, Some main ->
+         Metrics.set_steps main (Fanout.sum fan Metrics.steps)
+       | _ -> ());
+      (stepped, err)
   in
   match err with
   | Some (_, e) -> Error e
   | None ->
-    let verdicts = Array.make (Array.length cs) None in
-    Array.iter
-      (fun (r, _, _) ->
-        match r with
-        | Ok entries ->
-          List.iter
-            (fun (i, c, v) ->
-              cs.(i) <- c;
-              verdicts.(i) <- Some v)
-            entries
-        | Error _ -> ())
-      outs;
     let reports = ref [] in
-    for i = Array.length cs - 1 downto 0 do
-      match verdicts.(i) with
-      | Some v when not v.Incremental.satisfied ->
-        reports :=
-          { constraint_name = (Incremental.def cs.(i)).Formula.name;
-            position = v.Incremental.index;
-            time }
-          :: !reports
-      | _ -> ()
+    for i = n - 1 downto 0 do
+      match stepped.(i) with
+      | None -> ()
+      | Some (c, v) ->
+        cs.(i) <- c;
+        if not v.Incremental.satisfied then
+          reports :=
+            { constraint_name = (Incremental.def c).Formula.name;
+              position = v.Incremental.index;
+              time }
+            :: !reports
     done;
-    Fanout.sync fan;
-    Ok (Array.to_list cs, !reports)
+    Ok ({ m with db; checkers = Array.to_list cs }, !reports)
 
 let step m ~time txn =
   Tracer.span m.tracer ~cat:"txn" ~arg:(string_of_int time) @@ fun () ->
@@ -176,17 +164,13 @@ let step m ~time txn =
   let* db =
     Tracer.span m.tracer ~cat:"apply" (fun () -> Update.apply m.db txn)
   in
-  let* checkers, reports =
-    match m.fan with
-    | None -> step_seq m ~time db
-    | Some fan -> step_par m fan ~time db
-  in
+  let* m, reports = check m ~time db in
   (match m.metrics with
    | None -> ()
    | Some mx ->
      Metrics.record_latency mx (Unix.gettimeofday () -. t0);
      Metrics.add_violations mx (List.length reports));
-  Ok ({ m with db; checkers }, reports)
+  Ok (m, reports)
 
 let space m =
   List.fold_left (fun acc c -> acc + Incremental.space c) 0 m.checkers

@@ -3,7 +3,10 @@
     A monitor owns one {!Incremental} checker per registered constraint and
     drives them over a stream of transactions, collecting violation reports.
     It is the integration point an application uses: register constraints,
-    feed transactions, receive violations.
+    feed transactions, receive violations. The per-transaction checker loop
+    is written once, in {!check}, sequential and pooled alike; the
+    crash-safe service ({!Supervisor}) holds a monitor and steps it through
+    the same function.
 
     For benchmarking and testing, {!run_trace_naive} produces the same
     reports with the naive full-history evaluator — the two must agree on
@@ -55,25 +58,8 @@ val create_with :
 val database : t -> Rtic_relational.Database.t
 (** The current database state. *)
 
-val parts : t -> Rtic_relational.Database.t * Incremental.t list
-(** The database and the per-constraint checkers, in registration order.
-    Used by the resilience layer ({!Supervisor}), which steps checkers
-    individually so it can quarantine one without stopping the rest. *)
-
-val fanout : t -> Fanout.t option
-(** The parallel fan-out plan, when the monitor was created with a pool of
-    size > 1. The resilience layer reuses it to step its checker shards in
-    parallel with the same metrics synchronisation. *)
-
-val of_parts :
-  ?metrics:Metrics.t ->
-  ?tracer:Tracer.t ->
-  Rtic_relational.Database.t ->
-  Incremental.t list ->
-  t
-(** Reassemble a monitor from {!parts}. The caller is responsible for the
-    checkers matching the database's catalog; intended only for the
-    resilience layer's checkpoint plumbing. *)
+val checkers : t -> Incremental.t list
+(** The per-constraint checkers, in registration order. *)
 
 val step :
   t ->
@@ -82,6 +68,27 @@ val step :
   (t * report list, string) result
 (** Apply one transaction at the given commit time, check every constraint
     on the resulting state, and report the constraints it violates. *)
+
+val check :
+  ?skip:(string -> bool) ->
+  ?after:(Incremental.t -> unit) ->
+  t ->
+  time:int ->
+  Rtic_relational.Database.t ->
+  (t * report list, string) result
+(** [check m ~time db] is {!step} minus the update and the per-transaction
+    metrics: it steps every checker on the already-updated database [db]
+    and returns the monitor holding [db] and the stepped checkers, with
+    the violation reports in registration order. This is the one checker
+    loop; the resilience layer ({!Supervisor}) drives it directly.
+
+    Checkers whose constraint name satisfies [skip] (default: none) are
+    left as they are; under a pool [skip] runs on the shard domains, so it
+    may only read state. [after c] is called on the coordinating domain, in
+    registration order, for each checker [c] stepped before the first
+    error, in the sequential and the pooled case alike. On an error the
+    monitor is not advanced and the lowest-index checker's error is
+    returned. *)
 
 val space : t -> int
 (** Total auxiliary space across all checkers ({!Incremental.space}). *)

@@ -9,21 +9,13 @@ module Pretty = Rtic_mtl.Pretty
 module Valrel = Rtic_eval.Valrel
 module Fo = Rtic_eval.Fo
 
-(* One shard of a parallel run: a subset of the constraints, whole
-   sharing-components at a time, with its own kernel and (when the run is
-   instrumented) its own private metrics recorder. *)
-type part = {
-  p_indices : int array;  (* global constraint indices, ascending *)
-  p_metrics : Metrics.t option;
-  p_slots : int array;  (* shard node j -> main-recorder row; [||] bare *)
-}
-
+(* A parallel run keeps whole sharing components in one shard: each shard
+   is a subset of the constraints with its own kernel. *)
 type body =
   | Single of Kernel.t
   | Sharded of {
-      pool : Pool.t;
-      parts : part array;
-      kernels : Kernel.t array;  (* aligned with [parts] *)
+      fan : Fanout.t;
+      kernels : Kernel.t array;  (* aligned with [Fanout.groups fan] *)
     }
 
 type t = {
@@ -116,33 +108,32 @@ let build_sharded ?metrics pool config names norms =
     List.iteri
       (fun c members -> groups.(c mod k) <- List.rev_append members groups.(c mod k))
       comps;
-    let parts_kernels =
-      Array.map
-        (fun members ->
-          let idx = Array.of_list (List.sort compare members) in
-          let p_metrics = Option.map (fun _ -> Metrics.create ()) metrics in
+    let fan =
+      Fanout.make ?metrics pool
+        (Array.map
+           (fun members -> Array.of_list (List.sort compare members))
+           groups)
+    in
+    let kernels =
+      Array.mapi
+        (fun s idx ->
           let kernel =
-            Kernel.create ?metrics:p_metrics
+            Kernel.create ?metrics:(Fanout.shard_metrics fan s)
               ~root_names:(Array.to_list (Array.map (fun i -> names_arr.(i)) idx))
               config
               (Array.to_list (Array.map (fun i -> norms_arr.(i)) idx))
           in
-          let p_slots =
-            match reg with
-            | None -> [||]
-            | Some (gcl, base) ->
-              Array.map
-                (fun f -> base + Closure.id_exn gcl f)
-                (Kernel.node_formulas kernel)
-          in
-          ({ p_indices = idx; p_metrics; p_slots }, kernel))
-        groups
+          Option.iter
+            (fun (gcl, base) ->
+              Fanout.mirror fan s
+                (Array.map
+                   (fun f -> base + Closure.id_exn gcl f)
+                   (Kernel.node_formulas kernel)))
+            reg;
+          kernel)
+        (Fanout.groups fan)
     in
-    Some
-      (Sharded
-         { pool;
-           parts = Array.map fst parts_kernels;
-           kernels = Array.map snd parts_kernels })
+    Some (Sharded { fan; kernels })
   end
 
 let create ?metrics ?tracer ?pool ?(config = Incremental.default_config) cat
@@ -185,95 +176,6 @@ let create ?metrics ?tracer ?pool ?(config = Incremental.default_config) cat
         metrics;
         tracer }
 
-(* Merge one parallel fan-out: scatter per-shard verdicts back to global
-   registration order; on failure, the lowest-index shard's error wins —
-   deterministic whatever the domains' interleaving was. *)
-let step_sharded m pool parts kernels ~time db =
-  let timed = m.tracer <> None in
-  let outs =
-    Pool.run pool
-      (Array.init (Array.length parts) (fun s () ->
-           let w0 = if timed then Unix.gettimeofday () else 0.0 in
-           let r =
-             try Ok (Kernel.step kernels.(s) ~time db)
-             with Fo.Error e -> Error e
-           in
-           (r, w0, if timed then Unix.gettimeofday () else 0.0)))
-  in
-  (match m.tracer with
-   | None -> ()
-   | Some tr ->
-     Array.iteri
-       (fun s ((_, w0, w1) : _ * float * float) ->
-         Tracer.timed_span m.tracer ~cat:"shard" ~name:(string_of_int s)
-           ~arg:(string_of_int (Array.length parts.(s).p_indices))
-           ~t0_ns:(Tracer.stamp tr w0) ~t1_ns:(Tracer.stamp tr w1) ())
-       outs);
-  let err =
-    Array.fold_left
-      (fun acc (r, _, _) ->
-        match acc, r with
-        | None, Error e -> Some e
-        | acc, _ -> acc)
-      None outs
-  in
-  match err with
-  | Some e -> Error e
-  | None ->
-    let names_arr = Array.of_list m.names in
-    let n = Array.length names_arr in
-    let verdicts = Array.make n None in
-    let kernels' = Array.copy kernels in
-    Array.iteri
-      (fun s (r, _, _) ->
-        match r with
-        | Ok (k', results) ->
-          kernels'.(s) <- k';
-          List.iteri
-            (fun j v -> verdicts.(parts.(s).p_indices.(j)) <- Some v)
-            results
-        | Error _ -> ())
-      outs;
-    let reports = ref [] in
-    for i = n - 1 downto 0 do
-      match verdicts.(i) with
-      | Some v when not (Valrel.holds v) ->
-        reports :=
-          { Monitor.constraint_name = names_arr.(i);
-            position = m.count;
-            time }
-          :: !reports
-      | _ -> ()
-    done;
-    (match m.metrics with
-     | None -> ()
-     | Some main ->
-       Array.iter
-         (fun part ->
-           match part.p_metrics with
-           | None -> ()
-           | Some src ->
-             Array.iteri
-               (fun j row -> Metrics.copy_node ~src j ~dst:main row)
-               part.p_slots)
-         parts;
-       let sum f =
-         Array.fold_left
-           (fun acc part ->
-             match part.p_metrics with
-             | Some r -> acc + f r
-             | None -> acc)
-           0 parts
-       in
-       (* One logical kernel step per transaction, exactly as the single
-          shared kernel counts; cache totals are the shard sums (every
-          lookup happens in the shard maintaining the node, so the sums
-          equal the sequential counts). *)
-       Metrics.incr_steps main;
-       Metrics.set_cache_counts main ~hits:(sum Metrics.cache_hits)
-         ~misses:(sum Metrics.cache_misses));
-    Ok (kernels', !reports)
-
 let step m ~time txn =
   match m.last_time with
   | Some t0 when time <= t0 ->
@@ -286,38 +188,54 @@ let step m ~time txn =
     let* db =
       Tracer.span m.tracer ~cat:"apply" (fun () -> Update.apply m.db txn)
     in
-    let finish body reports =
-      (match m.metrics with
-       | None -> ()
-       | Some mx ->
-         Metrics.record_latency mx (Unix.gettimeofday () -. t0);
-         Metrics.add_violations mx (List.length reports));
-      Ok
-        ( { m with body; db; count = m.count + 1; last_time = Some time },
-          reports )
+    let* body, verdicts =
+      match m.body with
+      | Single kernel ->
+        (try
+           let kernel, verdicts = Kernel.step kernel ~time db in
+           Ok (Single kernel, verdicts)
+         with Fo.Error msg -> Error msg)
+      | Sharded sh ->
+        (* A shard's error is charged to its first constraint: shards are
+           ordered by their first constraint, so the lowest-index error is
+           the lowest shard's. *)
+        let results, err =
+          Fanout.run ?tracer:m.tracer sh.fan (fun s group ->
+              match Kernel.step sh.kernels.(s) ~time db with
+              | kernel, verdicts ->
+                (List.mapi (fun j v -> (group.(j), (kernel, v))) verdicts, None)
+              | exception Fo.Error e -> ([], Some (group.(0), e)))
+        in
+        (match err with
+         | Some (_, e) -> Error e
+         | None ->
+           (* One logical kernel step per transaction, exactly as the
+              single shared kernel counts. *)
+           Option.iter Metrics.incr_steps m.metrics;
+           let get i = Option.get results.(i) in
+           let kernels =
+             Array.map (fun g -> fst (get g.(0))) (Fanout.groups sh.fan)
+           in
+           Ok
+             ( Sharded { sh with kernels },
+               List.init (Array.length results) (fun i -> snd (get i)) ))
     in
-    (match m.body with
-     | Single kernel ->
-       (try
-          let kernel, results = Kernel.step kernel ~time db in
-          let reports =
-            List.filter_map
-              (fun (name, v) ->
-                if Valrel.holds v then None
-                else
-                  Some
-                    { Monitor.constraint_name = name;
-                      position = m.count;
-                      time })
-              (List.combine m.names results)
-          in
-          finish (Single kernel) reports
-        with Fo.Error msg -> Error msg)
-     | Sharded sh ->
-       let* kernels, reports =
-         step_sharded m sh.pool sh.parts sh.kernels ~time db
-       in
-       finish (Sharded { sh with kernels }) reports)
+    let reports =
+      List.filter_map
+        (fun (name, v) ->
+          if Valrel.holds v then None
+          else
+            Some { Monitor.constraint_name = name; position = m.count; time })
+        (List.combine m.names verdicts)
+    in
+    (match m.metrics with
+     | None -> ()
+     | Some mx ->
+       Metrics.record_latency mx (Unix.gettimeofday () -. t0);
+       Metrics.add_violations mx (List.length reports));
+    Ok
+      ( { m with body; db; count = m.count + 1; last_time = Some time },
+        reports )
 
 let run_trace ?metrics ?tracer ?pool ?config defs (tr : Trace.t) =
   let* m =
@@ -343,7 +261,7 @@ let kernels m =
 let space m = List.fold_left (fun acc k -> acc + Kernel.space k) 0 (kernels m)
 
 let shard_count m =
-  match m.body with Single _ -> 1 | Sharded sh -> Array.length sh.parts
+  match m.body with Single _ -> 1 | Sharded sh -> Array.length sh.kernels
 
 let shared_nodes m =
   List.fold_left (fun acc k -> acc + Kernel.node_count k) 0 (kernels m)

@@ -10,7 +10,9 @@
 
     Verdicts are identical to the per-constraint monitor (property-tested);
     space and per-transaction time drop in proportion to the overlap
-    (experiment E9 in the bench harness). *)
+    (experiment E9 in the bench harness). Under a pool the constraint set
+    is partitioned by sharing component and stepped through {!Fanout.run},
+    the same shard runner the per-constraint monitor uses. *)
 
 type t
 (** Monitor state. Functional: {!step} returns a new state. *)

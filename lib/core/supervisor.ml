@@ -88,9 +88,7 @@ type t = {
   dir : string;
   metrics : Metrics.t option;
   tracer : Tracer.t option;
-  fan : Fanout.t option;  (* parallel checker fan-out; None = sequential *)
-  mutable db : Database.t;
-  mutable checkers : Incremental.t list;  (* registration order *)
+  mutable mon : Monitor.t;  (* the database and every checker *)
   mutable quarantine : (string * string) list;  (* registration order *)
   mutable accepted : int;  (* global WAL index of the next record *)
   mutable last : int option;  (* commit time of the last accepted txn *)
@@ -249,7 +247,7 @@ let load_checkpoint_text ?metrics ?tracer ?pool cat defs ~step text =
           | None, l | l, None -> l
           | Some a, Some b -> Some (max a b))
         None
-        (snd (Monitor.parts mon))
+        (Monitor.checkers mon)
   in
   Ok { snap_step = step; snap_monitor = mon; snap_last_time = last }
 
@@ -286,152 +284,31 @@ let derive_quarantine cfg checkers =
 (* Step every active checker on the already-updated database; freeze any
    whose space crosses the budget (its crossing verdict is still
    delivered — from the next transaction on it reports inconclusive). *)
-let step_checkers_seq t ~time db =
-  let* checkers_rev, reports_rev =
-    List.fold_left
-      (fun acc c ->
-        let* cs, rs = acc in
-        let name = checker_name c in
-        if is_quarantined t name then Ok (c :: cs, rs)
-        else
-          let* c, v = Incremental.step c ~time db in
-          let rs =
-            if v.Incremental.satisfied then rs
-            else
-              { Monitor.constraint_name = name;
-                position = v.Incremental.index;
-                time }
-              :: rs
-          in
-          (match t.cfg.aux_budget with
-           | Some budget when Incremental.space c > budget ->
-             t.quarantine <-
-               t.quarantine
-               @ [ ( name,
-                     Printf.sprintf "auxiliary space %d exceeds budget %d"
-                       (Incremental.space c) budget ) ];
-             bump t "constraints_quarantined";
-             Tracer.point t.tracer ~cat:"supervisor" ~name:"quarantine"
-               ~arg:name ()
-           | _ -> ());
-          Ok (c :: cs, rs))
-      (Ok ([], []))
-      t.checkers
+let step_checkers t ~time db =
+  let after c =
+    match t.cfg.aux_budget with
+    | Some budget when Incremental.space c > budget ->
+      let name = checker_name c in
+      t.quarantine <-
+        t.quarantine
+        @ [ ( name,
+              Printf.sprintf "auxiliary space %d exceeds budget %d"
+                (Incremental.space c) budget ) ];
+      bump t "constraints_quarantined";
+      Tracer.point t.tracer ~cat:"supervisor" ~name:"quarantine" ~arg:name ()
+    | _ -> ()
   in
-  t.checkers <- List.rev checkers_rev;
-  t.db <- db;
+  let* mon, reports =
+    Monitor.check ~skip:(is_quarantined t) ~after t.mon ~time db
+  in
+  t.mon <- mon;
   t.accepted <- t.accepted + 1;
   t.last <- Some time;
   t.since_ck <- t.since_ck + 1;
-  let reports = List.rev reports_rev in
   (match t.metrics with
    | None -> ()
    | Some m -> Metrics.add_violations m (List.length reports));
   Ok reports
-
-(* Parallel variant: each shard steps its non-quarantined checkers in
-   ascending order and stops at its first error; the coordinator then
-   replays the budget/quarantine accounting in global registration order —
-   on an error, only for the checkers a sequential run would have stepped
-   before halting — so quarantine decisions, counters, trace points and
-   reports are exactly the sequential ones. Workers read [t.quarantine]
-   but never write it; the pool's join orders those reads before the
-   coordinator's mutations below. *)
-let step_checkers_par t fan ~time db =
-  let cs = Array.of_list t.checkers in
-  let timed = t.tracer <> None in
-  let outs =
-    Pool.run (Fanout.pool fan)
-      (Array.map
-         (fun idxs () ->
-           let w0 = if timed then Unix.gettimeofday () else 0.0 in
-           let rec go acc = function
-             | [] -> Ok (List.rev acc)
-             | i :: rest ->
-               let c = cs.(i) in
-               if is_quarantined t (checker_name c) then go acc rest
-               else
-                 (match Incremental.step c ~time db with
-                  | Error e -> Error (i, e)
-                  | Ok (c, v) -> go ((i, c, v) :: acc) rest)
-           in
-           let r = go [] (Array.to_list idxs) in
-           (r, w0, if timed then Unix.gettimeofday () else 0.0))
-         (Fanout.groups fan))
-  in
-  (match t.tracer with
-   | None -> ()
-   | Some tr ->
-     Array.iteri
-       (fun s ((_, w0, w1) : _ * float * float) ->
-         Tracer.timed_span t.tracer ~cat:"shard" ~name:(string_of_int s)
-           ~arg:(string_of_int (Array.length (Fanout.groups fan).(s)))
-           ~t0_ns:(Tracer.stamp tr w0) ~t1_ns:(Tracer.stamp tr w1) ())
-       outs);
-  let err =
-    Array.fold_left
-      (fun acc (r, _, _) ->
-        match r with
-        | Error (i, e) ->
-          (match acc with
-           | Some (j, _) when j <= i -> acc
-           | _ -> Some (i, e))
-        | Ok _ -> acc)
-      None outs
-  in
-  let stepped = Array.make (Array.length cs) None in
-  Array.iter
-    (fun (r, _, _) ->
-      match r with
-      | Ok entries ->
-        List.iter (fun (i, c, v) -> stepped.(i) <- Some (c, v)) entries
-      | Error _ -> ())
-    outs;
-  let stop = match err with Some (i, _) -> i | None -> Array.length cs in
-  let reports_rev = ref [] in
-  for i = 0 to stop - 1 do
-    match stepped.(i) with
-    | None -> ()
-    | Some (c, v) ->
-      cs.(i) <- c;
-      let name = checker_name c in
-      if not v.Incremental.satisfied then
-        reports_rev :=
-          { Monitor.constraint_name = name;
-            position = v.Incremental.index;
-            time }
-          :: !reports_rev;
-      (match t.cfg.aux_budget with
-       | Some budget when Incremental.space c > budget ->
-         t.quarantine <-
-           t.quarantine
-           @ [ ( name,
-                 Printf.sprintf "auxiliary space %d exceeds budget %d"
-                   (Incremental.space c) budget ) ];
-         bump t "constraints_quarantined";
-         Tracer.point t.tracer ~cat:"supervisor" ~name:"quarantine" ~arg:name
-           ()
-       | _ -> ())
-  done;
-  match err with
-  | Some (_, e) -> Error e
-  | None ->
-    t.checkers <- Array.to_list cs;
-    t.db <- db;
-    t.accepted <- t.accepted + 1;
-    t.last <- Some time;
-    t.since_ck <- t.since_ck + 1;
-    Fanout.sync fan;
-    let reports = List.rev !reports_rev in
-    (match t.metrics with
-     | None -> ()
-     | Some m -> Metrics.add_violations m (List.length reports));
-    Ok reports
-
-let step_checkers t ~time db =
-  match t.fan with
-  | None -> step_checkers_seq t ~time db
-  | Some fan -> step_checkers_par t fan ~time db
 
 (* ---------------- The commit queue ---------------- *)
 
@@ -571,10 +448,7 @@ let checkpoint t =
     Tracer.span t.tracer ~cat:"checkpoint" ~name:"write"
       ~arg:(string_of_int t.accepted)
     @@ fun () ->
-    let mon =
-      Monitor.of_parts ?metrics:t.metrics ?tracer:t.tracer t.db t.checkers
-    in
-    let text = checkpoint_text mon ~accepted:t.accepted ~last:t.last in
+    let text = checkpoint_text t.mon ~accepted:t.accepted ~last:t.last in
     let tmp = Filename.concat t.dir ".checkpoint.tmp" in
     let* () = t.fs.write_file tmp text in
     let* () = t.fs.rename tmp (checkpoint_path t.dir t.accepted) in
@@ -632,8 +506,7 @@ let finish t ~t0 =
    the repair and its trigger together (never a half-repaired state).
    Durability still precedes verdict delivery. *)
 let step_repair t ~t0 ~time ~txn db =
-  let pre_checkers = t.checkers in
-  let pre_db = t.db and pre_q = t.quarantine in
+  let pre_mon = t.mon and pre_q = t.quarantine in
   let pre_accepted = t.accepted and pre_last = t.last in
   let pre_ck = t.since_ck in
   let inconclusive = List.map fst pre_q in
@@ -648,7 +521,8 @@ let step_repair t ~t0 ~time ~txn db =
     let res =
       Tracer.span t.tracer ~cat:"repair" ~name:"search"
         ~arg:(string_of_int (List.length reports)) (fun () ->
-          Repair.search ~checkers:pre_checkers ~skip ~time ~txn db)
+          Repair.search ~checkers:(Monitor.checkers pre_mon) ~skip ~time ~txn
+            db)
     in
     match res with
     | Error e -> Error ("repair: " ^ e)
@@ -686,8 +560,7 @@ let step_repair t ~t0 ~time ~txn db =
       (* Roll the violating step back and commit the repaired state
          instead. Violations recorded by the first step stand in the
          metrics as detected-then-repaired. *)
-      t.checkers <- pre_checkers;
-      t.db <- pre_db;
+      t.mon <- pre_mon;
       t.quarantine <- pre_q;
       t.accepted <- pre_accepted;
       t.last <- pre_last;
@@ -744,7 +617,8 @@ let submit t ~time txn =
   | _ ->
     Tracer.span t.tracer ~cat:"txn" ~arg:(string_of_int time) @@ fun () ->
     (match
-       Tracer.span t.tracer ~cat:"apply" (fun () -> Update.apply t.db txn)
+       Tracer.span t.tracer ~cat:"apply" (fun () ->
+           Update.apply (Monitor.database t.mon) txn)
      with
      | Error e ->
        bump t "malformed_txns";
@@ -775,6 +649,27 @@ let step t ~time txn =
 
 (* ---------------- Lifecycle ---------------- *)
 
+let make ~fs ~cfg ~dir ~metrics ~tracer ~mon ~accepted ~last ~degraded
+    ~wal_version =
+  { fs;
+    cfg;
+    dir;
+    metrics;
+    tracer;
+    mon;
+    quarantine = [];
+    accepted;
+    last;
+    since_ck = 0;
+    wal_bytes = 0;
+    degraded;
+    wal_version;
+    wal_out = None;
+    pending_buf = Buffer.create 1024;
+    pending_records = 0;
+    pending_outs_rev = [];
+    batch_t0 = 0.0 }
+
 let create ?(fs = Faults.real_fs) ?metrics ?tracer ?pool
     ?(config = default_config) ?init ~state_dir:dir cat defs =
   let* () =
@@ -794,28 +689,9 @@ let create ?(fs = Faults.real_fs) ?metrics ?tracer ?pool
   else
     let db = match init with Some db -> db | None -> Database.create cat in
     let* mon = Monitor.create_with ?metrics ?tracer ?pool db defs in
-    let db, checkers = Monitor.parts mon in
     let t =
-      { fs;
-        cfg = config;
-        dir;
-        metrics;
-        tracer;
-        fan = Monitor.fanout mon;
-        db;
-        checkers;
-        quarantine = [];
-        accepted = 0;
-        last = None;
-        since_ck = 0;
-        wal_bytes = 0;
-        degraded = false;
-        wal_version = config.wal_format;
-        wal_out = None;
-        pending_buf = Buffer.create 1024;
-        pending_records = 0;
-        pending_outs_rev = [];
-        batch_t0 = 0.0 }
+      make ~fs ~cfg:config ~dir ~metrics ~tracer ~mon ~accepted:0 ~last:None
+        ~degraded:false ~wal_version:config.wal_format
     in
     let* () =
       fs.write_file (wal_path dir)
@@ -899,39 +775,20 @@ let recover ?(fs = Faults.real_fs) ?metrics ?tracer ?pool
                 unrecoverable"
                w.Wal.start)
     in
-    let db, checkers = Monitor.parts mon in
     let accepted, last =
       match base_step with
       | Some snap -> (snap.snap_step, snap.snap_last_time)
       | None -> (0, None)
     in
     let t =
-      { fs;
-        cfg = config;
-        dir;
-        metrics;
-        tracer;
-        fan = Monitor.fanout mon;
-        db;
-        checkers;
-        quarantine = [];
-        accepted;
-        last;
-        since_ck = 0;
-        wal_bytes = 0;
-        (* Never append after damaged bytes; repair (below) clears this. *)
-        degraded = w.Wal.torn <> None;
-        (* The directory's format wins over cfg.wal_format: a log is never
-           silently migrated mid-life (compaction rewrites it in its own
-           version). *)
-        wal_version = w.Wal.version;
-        wal_out = None;
-        pending_buf = Buffer.create 1024;
-        pending_records = 0;
-        pending_outs_rev = [];
-        batch_t0 = 0.0 }
+      (* Never append after damaged bytes (repair, below, clears this); the
+         directory's format wins over cfg.wal_format: a log is never
+         silently migrated mid-life (compaction rewrites it in its own
+         version). *)
+      make ~fs ~cfg:config ~dir ~metrics ~tracer ~mon ~accepted ~last
+        ~degraded:(w.Wal.torn <> None) ~wal_version:w.Wal.version
     in
-    t.quarantine <- derive_quarantine config t.checkers;
+    t.quarantine <- derive_quarantine config (Monitor.checkers t.mon);
     (* Replay the WAL suffix past the checkpoint. Replayed records are not
        re-appended; they go through the same stepping (and quarantine)
        logic as live traffic. *)
@@ -946,7 +803,7 @@ let recover ?(fs = Faults.real_fs) ?metrics ?tracer ?pool
       List.fold_left
         (fun acc (time, txn) ->
           let* rs = acc in
-          match Update.apply t.db txn with
+          match Update.apply (Monitor.database t.mon) txn with
           | Error e ->
             Error ("recovery replay: WAL record does not apply: " ^ e)
           | Ok db ->
@@ -970,11 +827,11 @@ let recover ?(fs = Faults.real_fs) ?metrics ?tracer ?pool
 
 (* ---------------- Introspection ---------------- *)
 
-let database t = t.db
-let checkers t = t.checkers
+let database t = Monitor.database t.mon
+let checkers t = Monitor.checkers t.mon
 let steps t = t.accepted
 let last_time t = t.last
-let space t = List.fold_left (fun a c -> a + Incremental.space c) 0 t.checkers
+let space t = Monitor.space t.mon
 let quarantined t = t.quarantine
 let degraded t = t.degraded
 let wal_bytes_since_checkpoint t = t.wal_bytes

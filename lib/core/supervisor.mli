@@ -1,7 +1,9 @@
 (** Crash-safe monitoring service: the resilience layer around {!Monitor}.
 
-    A supervisor owns a {e state directory} and keeps the monitor
-    recoverable at all times:
+    A supervisor holds one {!Monitor.t} and steps it through
+    {!Monitor.check}, the same checker loop {!Monitor.step} runs, adding
+    only the quarantine accounting below. It owns a {e state directory} and
+    keeps the monitor recoverable at all times:
 
     - every accepted transaction is appended to a CRC-per-record
       write-ahead log ({!Wal}) {e before} its verdicts are delivered, so a
@@ -156,8 +158,8 @@ val create :
 
     With [?pool] of size > 1, the checkers are sharded across the pool's
     domains exactly as in {!Monitor.create}: every {!step} fans the
-    transaction out to all shards and replays the per-constraint
-    quarantine/budget accounting in registration order afterwards, so
+    transaction out to all shards and the per-constraint quarantine/budget
+    accounting runs in registration order afterwards ({!Monitor.check}), so
     outcomes, quarantine decisions, counters and synced metrics are
     identical to the sequential service; per-constraint tracer spans are
     replaced by per-shard [shard] spans. All durability work (WAL append,

@@ -202,64 +202,93 @@ let error_string_cases =
           (get_error "step 2" (Supervisor.step sup ~time:5 []))) ]
 
 (* Supervised service under a pool: outcomes, quarantine decisions and
-   recovery must match the sequential service exactly. *)
+   recovery must match the sequential service exactly — also under the
+   repair policy, whose rollback restores the pre-transaction monitor. *)
 let supervised_cases =
   [ Alcotest.test_case "pooled supervisor = sequential supervisor" `Quick
       (fun () ->
         let sc = Scenarios.banking in
         let tr = sc.Scenarios.generate ~seed:9 ~steps:80 ~violation_rate:0.1 in
-        let config =
+        let budget =
           { Supervisor.default_config with auto_checkpoint = 16;
             aux_budget = Some 40 }
         in
-        let run pool =
-          let fs = Faults.mem_fs () in
-          let sup =
-            get_ok "create"
-              (Supervisor.create ~fs ?pool ~config ~init:tr.Trace.init
-                 ~state_dir:"s" sc.Scenarios.catalog sc.Scenarios.constraints)
-          in
-          let outs =
-            List.map
-              (fun (time, txn) ->
-                match get_ok "step" (Supervisor.step sup ~time txn) with
-                | Supervisor.Checked { reports; inconclusive } ->
-                  Printf.sprintf "checked %s | %s"
-                    (String.concat "," (List.map show_report reports))
-                    (String.concat "," inconclusive)
-                | Supervisor.Skipped r -> "skipped " ^ r
-                | Supervisor.Rejected r -> "rejected " ^ r
-                | Supervisor.Repaired _ | Supervisor.Unrepairable _ ->
-                  Alcotest.fail "repair outcome without the repair policy")
-              tr.Trace.steps
-          in
-          (outs, Supervisor.quarantined sup, Supervisor.steps sup, fs)
-        in
-        let seq_outs, seq_q, seq_steps, _ = run None in
-        with_pool 2 (fun pool ->
-            let par_outs, par_q, par_steps, par_fs = run (Some pool) in
-            Alcotest.(check (list string)) "outcomes" seq_outs par_outs;
-            Alcotest.(check (list (pair string string)))
-              "quarantine" seq_q par_q;
-            Alcotest.(check int) "steps" seq_steps par_steps;
-            (* And a pooled recovery of the pooled service replays to the
-               same state a sequential recovery reaches. *)
-            let recover pool fs =
-              let sup, info =
-                get_ok "recover"
-                  (Supervisor.recover ~fs ?pool ~config ~init:tr.Trace.init
-                     ~repair:false ~state_dir:"s" sc.Scenarios.catalog
+        List.iter
+          (fun config ->
+            let run pool =
+              let fs = Faults.mem_fs () in
+              let metrics = Metrics.create () in
+              let sup =
+                get_ok "create"
+                  (Supervisor.create ~fs ~metrics ?pool ~config
+                     ~init:tr.Trace.init ~state_dir:"s" sc.Scenarios.catalog
                      sc.Scenarios.constraints)
               in
-              ( Supervisor.steps sup,
-                Supervisor.last_time sup,
-                Supervisor.space sup,
+              let outs =
+                List.map
+                  (fun (time, txn) ->
+                    match get_ok "step" (Supervisor.step sup ~time txn) with
+                    | Supervisor.Checked { reports; inconclusive } ->
+                      Printf.sprintf "checked %s | %s"
+                        (String.concat "," (List.map show_report reports))
+                        (String.concat "," inconclusive)
+                    | Supervisor.Skipped r -> "skipped " ^ r
+                    | Supervisor.Rejected r -> "rejected " ^ r
+                    | Supervisor.Repaired
+                        { actions; repaired; inconclusive; _ } ->
+                      Printf.sprintf "repaired %d %s | %s" (List.length actions)
+                        (String.concat "," (List.map show_report repaired))
+                        (String.concat "," inconclusive)
+                    | Supervisor.Unrepairable { reports; unrepairable; _ } ->
+                      Printf.sprintf "unrepairable %s | %s"
+                        (String.concat "," (List.map show_report reports))
+                        (String.concat "," (List.map fst unrepairable)))
+                  tr.Trace.steps
+              in
+              let counters =
+                List.map
+                  (fun k -> (k, Metrics.counter metrics k))
+                  [ "txns_repaired"; "constraints_quarantined" ]
+              in
+              ( outs,
                 Supervisor.quarantined sup,
-                List.map show_report info.Supervisor.replay_reports )
+                Supervisor.steps sup,
+                counters,
+                fs )
             in
-            let a = recover None par_fs in
-            let b = recover (Some pool) par_fs in
-            if a <> b then Alcotest.fail "pooled recovery diverged")) ]
+            let seq_outs, seq_q, seq_steps, seq_counters, _ = run None in
+            if config.Supervisor.on_error = Supervisor.Repair
+               && List.assoc "txns_repaired" seq_counters = 0
+            then Alcotest.fail "the repair run repaired nothing";
+            with_pool 2 (fun pool ->
+                let par_outs, par_q, par_steps, par_counters, par_fs =
+                  run (Some pool)
+                in
+                Alcotest.(check (list string)) "outcomes" seq_outs par_outs;
+                Alcotest.(check (list (pair string string)))
+                  "quarantine" seq_q par_q;
+                Alcotest.(check int) "steps" seq_steps par_steps;
+                Alcotest.(check (list (pair string int)))
+                  "counters" seq_counters par_counters;
+                (* And a pooled recovery of the pooled service replays to the
+                   same state a sequential recovery reaches. *)
+                let recover pool fs =
+                  let sup, info =
+                    get_ok "recover"
+                      (Supervisor.recover ~fs ?pool ~config ~init:tr.Trace.init
+                         ~repair:false ~state_dir:"s" sc.Scenarios.catalog
+                         sc.Scenarios.constraints)
+                  in
+                  ( Supervisor.steps sup,
+                    Supervisor.last_time sup,
+                    Supervisor.space sup,
+                    Supervisor.quarantined sup,
+                    List.map show_report info.Supervisor.replay_reports )
+                in
+                let a = recover None par_fs in
+                let b = recover (Some pool) par_fs in
+                if a <> b then Alcotest.fail "pooled recovery diverged"))
+          [ budget; { budget with on_error = Supervisor.Repair } ]) ]
 
 (* WAL recovery must be linear in the number of records: the decoder used
    to recompute List.length per record, which made a 50k-record log take
