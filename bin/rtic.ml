@@ -126,38 +126,6 @@ let split_defs spec =
     (fun (d : Formula.def) -> Formula.past_only d.body)
     spec.Parser.defs
 
-let check_with_future ?tracer cat defs tr =
-  (* verdict-delay monitoring for bounded-future constraints *)
-  let* h = Trace.materialize tr in
-  List.fold_left
-    (fun acc (d : Formula.def) ->
-      let* acc = acc in
-      let* st = Future.create ?tracer cat d in
-      let* st, out_rev =
-        List.fold_left
-          (fun acc (time, db) ->
-            let* st, out_rev = acc in
-            let* st, vs = Future.step st ~time db in
-            Ok (st, List.rev_append vs out_rev))
-          (Ok (st, []))
-          (History.snapshots h)
-      in
-      let out = List.rev_append out_rev (Future.finish st) in
-      let viols =
-        List.filter_map
-          (fun (v : Future.verdict) ->
-            if v.satisfied then None
-            else
-              Some
-                { Monitor.constraint_name = d.name;
-                  position = v.index;
-                  time = v.time })
-          out
-      in
-      Ok (List.rev_append viols acc))
-    (Ok []) defs
-  |> Result.map List.rev
-
 (* Incremental run with optional checkpoint restore/save. The restored
    monitor's database replaces the trace's initial state, so a saved run can
    be continued with a trace holding only the remaining transactions. *)
@@ -447,15 +415,15 @@ let run_check spec_file trace_file engine no_prune jobs quiet load save
     | E_shared -> or_die (Shared.run_trace ?tracer ?pool ~config past_defs tr)
     | E_naive -> or_die (Monitor.run_trace_naive past_defs tr)
     | E_active ->
-      let h = or_die (Trace.materialize tr) in
       List.fold_left
         (fun acc (d : Formula.def) ->
           let* acc = acc in
           let* prog = Compile.compile cat d in
-          let* _, _, viols =
+          let* _, _, _, viols =
             List.fold_left
-              (fun acc (time, db) ->
-                let* eng, idx, viols = acc in
+              (fun acc (time, txn) ->
+                let* eng, db, idx, viols = acc in
+                let* db = Rtic_relational.Update.apply db txn in
                 let* eng, ok = Compile.step eng ~time db in
                 let viols =
                   if ok then viols
@@ -463,15 +431,15 @@ let run_check spec_file trace_file engine no_prune jobs quiet load save
                     { Monitor.constraint_name = d.name; position = idx; time }
                     :: viols
                 in
-                Ok (eng, idx + 1, viols))
-              (Ok (Compile.start prog, 0, []))
-              (History.snapshots h)
+                Ok (eng, db, idx + 1, viols))
+              (Ok (Compile.start prog, tr.Trace.init, 0, []))
+              tr.Trace.steps
           in
           Ok (viols @ acc))
         (Ok []) past_defs
       |> Result.map List.rev
       |> or_die
-    | E_future -> or_die (check_with_future ?tracer cat spec.Parser.defs tr)
+    | E_future -> or_die (Future.run_trace ?tracer cat spec.Parser.defs tr)
   in
   let reports =
     if engine = E_future then reports
@@ -481,7 +449,7 @@ let run_check spec_file trace_file engine no_prune jobs quiet load save
           "rtic: note: %d constraint(s) use future operators and were \
            checked by verdict delay\n"
           (List.length future_defs);
-      reports @ or_die (check_with_future ?tracer cat future_defs tr)
+      reports @ or_die (Future.run_trace ?tracer cat future_defs tr)
     end
   in
   if want_json then

@@ -4,6 +4,10 @@ module Formula = Rtic_mtl.Formula
 module Rewrite = Rtic_mtl.Rewrite
 module Safety = Rtic_mtl.Safety
 module Naive = Rtic_eval.Naive
+module Trace = Rtic_temporal.Trace
+module Update = Rtic_relational.Update
+
+let ( let* ) = Result.bind
 
 type verdict = {
   index : int;
@@ -204,3 +208,52 @@ let finish st =
       go { st with first_undecided = j + 1 } (v :: acc)
   in
   go st []
+
+(* One pass over the trace: each transaction is applied once and every
+   admitted state steps on the result, so the run holds the buffers and the
+   violations, never the history. *)
+let run_trace ?tracer cat defs (tr : Trace.t) =
+  let violations st vs acc =
+    List.fold_left
+      (fun acc v ->
+        if v.satisfied then acc
+        else
+          { Monitor.constraint_name = st.d.Formula.name;
+            position = v.index;
+            time = v.time }
+          :: acc)
+      acc vs
+  in
+  (* Admit every constraint before the first step. *)
+  let* sts_rev =
+    List.fold_left
+      (fun acc d ->
+        let* acc = acc in
+        let* st = create ?tracer cat d in
+        Ok ((st, []) :: acc))
+      (Ok []) defs
+  in
+  match List.rev sts_rev with
+  | [] -> Ok []
+  | sts ->
+    let* _, sts =
+      List.fold_left
+        (fun acc (time, txn) ->
+          let* db, sts = acc in
+          let* db = Update.apply db txn in
+          let* sts_rev =
+            List.fold_left
+              (fun acc (st, out_rev) ->
+                let* acc = acc in
+                let* st, vs = step st ~time db in
+                Ok ((st, violations st vs out_rev) :: acc))
+              (Ok []) sts
+          in
+          Ok (db, List.rev sts_rev))
+        (Ok (tr.Trace.init, sts))
+        tr.Trace.steps
+    in
+    Ok
+      (List.concat_map
+         (fun (st, out_rev) -> List.rev (violations st (finish st) out_rev))
+         sts)

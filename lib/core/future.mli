@@ -58,3 +58,20 @@ val pending : t -> int
 val buffered_states : t -> int
 (** Number of states currently buffered (bounded by the states within the
     past window + horizon). *)
+
+val run_trace :
+  ?tracer:Tracer.t ->
+  Rtic_relational.Schema.Catalog.t ->
+  Rtic_mtl.Formula.def list ->
+  Rtic_temporal.Trace.t ->
+  (Monitor.report list, string) result
+(** Monitor a whole trace by verdict delay. Every constraint is admitted
+    ({!create}) before the first transaction, so an admission error comes
+    before any step. Then one pass applies each transaction once and steps
+    every admitted state on the resulting database; at the end {!finish}
+    decides what is still pending. Reports are grouped by constraint in
+    definition order, and by position within a constraint. Memory is the
+    states' buffers plus the reports: no history is materialised. With no
+    constraints the trace is not read at all. With [?tracer], each state
+    emits its {!step} spans, so the [txn] spans of several constraints
+    interleave per transaction. *)

@@ -190,30 +190,26 @@ let run_trace ?metrics ?tracer ?pool ?config defs (tr : Trace.t) =
 
 let run_trace_naive defs (tr : Trace.t) =
   let* h = Trace.materialize tr in
-  let module History = Rtic_temporal.History in
   let* per_def =
     List.fold_left
       (fun acc (d : Formula.def) ->
         let* acc = acc in
         let* vs = Naive.violations h d in
-        Ok ((d.name, vs) :: acc))
+        Ok (List.map
+              (fun i ->
+                { constraint_name = d.name;
+                  position = i;
+                  time = Rtic_temporal.History.time h i })
+              vs
+            :: acc))
       (Ok []) defs
-    |> Result.map List.rev
   in
-  (* Order by position, then by registration order. *)
-  let out = ref [] in
-  for i = History.last h downto 0 do
-    List.iter
-      (fun (name, vs) ->
-        if List.mem i vs then
-          out :=
-            { constraint_name = name; position = i; time = History.time h i }
-            :: !out)
-      (List.rev per_def)
-  done;
-  (* The loops above already produce ascending positions with constraints in
-     registration order within each position. *)
-  Ok !out
+  (* Each list is in increasing position order; a stable merge by position
+     keeps registration order among reports at the same position. *)
+  Ok
+    (List.stable_sort
+       (fun a b -> compare a.position b.position)
+       (List.concat (List.rev per_def)))
 
 let pp_report ppf r =
   Format.fprintf ppf "[%d] constraint %s violated at position %d" r.time

@@ -723,7 +723,9 @@ let recover ?(fs = Faults.real_fs) ?metrics ?tracer ?pool
       (fun why ->
         Tracer.point tracer ~cat:"recovery" ~name:"torn-tail" ~arg:why ())
       w.Wal.torn;
-    (* Newest checkpoint that loads cleanly; collect skip reasons. *)
+    (* Newest checkpoint that loads cleanly; collect skip reasons. A
+       candidate is loaded without [metrics], so a rejected one registers no
+       gauge rows; the kept one is loaded again into the recorder. *)
     let rec pick skipped = function
       | [] -> (None, List.rev skipped)
       | (step, path) :: rest ->
@@ -731,9 +733,13 @@ let recover ?(fs = Faults.real_fs) ?metrics ?tracer ?pool
         (match fs.read_file path with
          | Error e -> pick ((name, e) :: skipped) rest
          | Ok text ->
+           let load ?metrics () =
+             load_checkpoint_text ?metrics ?tracer ?pool cat defs ~step text
+           in
            (match
-            load_checkpoint_text ?metrics ?tracer ?pool cat defs ~step text
-          with
+              if Option.is_none metrics then load ()
+              else Result.bind (load ()) (fun _ -> load ?metrics ())
+            with
             | Error e -> pick ((name, e) :: skipped) rest
             | Ok snap -> (Some snap, List.rev skipped)))
     in

@@ -8,10 +8,11 @@ let initial ~time db = { snaps = [| (time, db) |] }
 
 let last_time h = fst h.snaps.(Array.length h.snaps - 1)
 
+let order_error time prev =
+  Error (Printf.sprintf "non-increasing timestamp: %d after %d" time prev)
+
 let extend h ~time db =
-  if time <= last_time h then
-    Error
-      (Printf.sprintf "non-increasing timestamp: %d after %d" time (last_time h))
+  if time <= last_time h then order_error time (last_time h)
   else Ok { snaps = Array.append h.snaps [| (time, db) |] }
 
 let extend_exn h ~time db =
@@ -19,16 +20,17 @@ let extend_exn h ~time db =
   | Ok h -> h
   | Error m -> invalid_arg ("History.extend_exn: " ^ m)
 
+(* Validate every timestamp first, then build the array once: extending
+   snapshot by snapshot would copy the array per step, O(n^2) overall. *)
 let of_snapshots = function
   | [] -> Error "empty history"
-  | (t0, d0) :: rest ->
-    List.fold_left
-      (fun acc (t, d) ->
-        match acc with
-        | Error _ as e -> e
-        | Ok h -> extend h ~time:t d)
-      (Ok (initial ~time:t0 d0))
-      rest
+  | (t0, _) :: rest as snaps ->
+    let rec check prev = function
+      | [] -> Ok { snaps = Array.of_list snaps }
+      | (t, _) :: rest ->
+        if t <= prev then order_error t prev else check t rest
+    in
+    check t0 rest
 
 let length h = Array.length h.snaps
 let last h = Array.length h.snaps - 1

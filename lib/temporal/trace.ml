@@ -37,20 +37,22 @@ let make_exn cat ?init steps =
 
 let length t = List.length t.steps
 
+(* Replay into a reversed snapshot list, then build the history once;
+   [History.of_snapshots] reports a timestamp fault with the same text
+   [History.extend] would. *)
 let materialize t =
-  match t.steps with
-  | [] -> Error "trace has no transactions"
-  | (t0, txn0) :: rest ->
-    let* d0 = R.Update.apply t.init txn0 in
+  let* snaps_rev, _ =
     List.fold_left
       (fun acc (time, txn) ->
-        let* h, db = acc in
+        let* snaps_rev, db = acc in
         let* db = R.Update.apply db txn in
-        let* h = History.extend h ~time db in
-        Ok (h, db))
-      (Ok (History.initial ~time:t0 d0, d0))
-      rest
-    |> Result.map fst
+        Ok ((time, db) :: snaps_rev, db))
+      (Ok ([], t.init))
+      t.steps
+  in
+  match snaps_rev with
+  | [] -> Error "trace has no transactions"
+  | _ -> History.of_snapshots (List.rev snaps_rev)
 
 let materialize_exn t =
   match materialize t with

@@ -124,6 +124,35 @@ let agreement =
       in
       future_verdicts cat f h = expected)
 
+(* The whole-trace pass: two constraints stepped together report exactly
+   the naive violations, constraint by constraint in definition order. *)
+let run_trace_agreement =
+  qtest ~count:60 "run_trace = naive violations in definition order"
+    QCheck.(triple small_nat small_nat small_nat)
+    (fun (s1, s2, tseed) ->
+      let def name seed =
+        { F.name; body = Gen.random_bounded_future_formula ~seed ~depth:4 }
+      in
+      let defs = [ def "a" s1; def "b" s2 ] in
+      let tr =
+        Gen.random_trace ~seed:tseed { Gen.default_params with steps = 30 }
+      in
+      let h = get_ok "m" (Trace.materialize tr) in
+      let expected =
+        List.concat_map
+          (fun (d : F.def) ->
+            List.map
+              (fun i -> (d.name, i, History.time h i))
+              (get_ok "naive" (Naive.violations h d)))
+          defs
+      in
+      let got =
+        List.map
+          (fun (r : Monitor.report) -> (r.constraint_name, r.position, r.time))
+          (get_ok "run_trace" (Future.run_trace cat defs tr))
+      in
+      got = expected)
+
 let buffer_bound =
   Alcotest.test_case "buffer stays within the window" `Quick (fun () ->
       let d =
@@ -150,5 +179,5 @@ let buffer_bound =
 let suite =
   [ ("future:semantics", semantics_cases);
     ("future:admission", admission_cases);
-    ("future:agreement", [ agreement ]);
+    ("future:agreement", [ agreement; run_trace_agreement ]);
     ("future:buffer", [ buffer_bound ]) ]

@@ -53,6 +53,61 @@ let future_cases =
         let (), t_big = timed (fun () -> run 50_000) in
         check_linear "buffered states" t_small t_big) ]
 
+(* [History.of_snapshots] (and with it [Trace.materialize] and every
+   [Future.decide]) used to grow the history one [Array.append] at a time,
+   copying the whole array per snapshot. *)
+let history_cases =
+  [ Alcotest.test_case "50k-snapshot history construction is linear" `Slow
+      (fun () ->
+        let db = Database.create cat in
+        let run n =
+          let h =
+            get_ok "of_snapshots"
+              (History.of_snapshots (List.init n (fun t -> (t, db))))
+          in
+          Alcotest.(check int) "length" n (History.length h)
+        in
+        ignore (timed (fun () -> run 5_000)) (* warm-up *);
+        let (), t_small = timed (fun () -> run 5_000) in
+        let (), t_big = timed (fun () -> run 50_000) in
+        check_linear "snapshots" t_small t_big) ]
+
+(* The check path over a spec mixing past and bounded-future constraints:
+   the past constraints through [Monitor.run_trace], the future one through
+   [Future.run_trace]. Before the single-pass [Future.run_trace], checking
+   materialised the whole history first, one array copy per transaction. *)
+let check_path_cases =
+  [ Alcotest.test_case "50k-txn past+future check is linear" `Slow
+      (fun () ->
+        (* One cheap constraint of each kind, so that per-txn checking does
+           not drown a quadratic term at 5k txns. *)
+        let sc = Scenarios.monitoring in
+        let past =
+          { Formula.name = "alarm_has_fault";
+            body = parse_formula "forall i. alarm(i) -> once[0,30] fault(i)" }
+        in
+        let future =
+          { Formula.name = "fault_alarmed";
+            body = parse_formula "forall i. fault(i) -> eventually[0,8] alarm(i)" }
+        in
+        let trace steps =
+          sc.Scenarios.generate ~seed:5 ~steps ~violation_rate:0.1
+        in
+        let run tr =
+          let past = get_ok "past" (Monitor.run_trace [ past ] tr) in
+          let fut =
+            get_ok "future"
+              (Future.run_trace sc.Scenarios.catalog [ future ] tr)
+          in
+          Alcotest.(check bool) "violations found" true
+            (past <> [] && fut <> [])
+        in
+        let small = trace 5_000 and big = trace 50_000 in
+        ignore (timed (fun () -> run small)) (* warm-up *);
+        let (), t_small = timed (fun () -> run small) in
+        let (), t_big = timed (fun () -> run big) in
+        check_linear "checked transactions" t_small t_big) ]
+
 let scenario_cases =
   [ Alcotest.test_case "50k-step workload generation is linear" `Slow
       (fun () ->
@@ -216,6 +271,8 @@ let wide_schema_cases =
 
 let suite =
   [ ("regressions:future-buffer", future_cases);
+    ("regressions:history", history_cases);
+    ("regressions:check-path", check_path_cases);
     ("regressions:scenarios", scenario_cases);
     ("regressions:hash-join", join_cases);
     ("regressions:window-prune", prune_cases);

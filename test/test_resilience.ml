@@ -257,7 +257,29 @@ let feed_all sup inputs =
     inputs
 
 let recovery_cases =
-  [ Alcotest.test_case "recover after a clean kill loses nothing" `Quick
+  [ Alcotest.test_case "rejected checkpoints register no node gauges" `Quick
+      (fun () ->
+        (* c1 loads from the checkpoint before c2's changed window rejects
+           it; recovery then rebuilds both from the WAL *)
+        let defs w =
+          [ def "c1" "forall x. q(x) -> once[0,10] p(x)";
+            def "c2" (Printf.sprintf "forall x. p(x) -> once[0,%d] q(x)" w) ]
+        in
+        let fs, sup = fresh ~defs:(defs 5) () in
+        ignore (feed_all sup [ (1, txn_p 1); (2, txn_q 1) ]);
+        let m = Metrics.create () in
+        let _, info =
+          sup_exn "recover"
+            (Supervisor.recover ~fs ~metrics:m ~state_dir:"sd" cat (defs 6))
+        in
+        Alcotest.(check int) "checkpoint skipped" 1
+          (List.length info.Supervisor.checkpoints_skipped);
+        let expected = Metrics.create () in
+        ignore (sup_exn "create" (Monitor.create ~metrics:expected cat (defs 6)));
+        let names m = List.map (fun n -> n.Metrics.name) (Metrics.nodes m) in
+        Alcotest.(check (list string)) "one row per node" (names expected)
+          (names m));
+    Alcotest.test_case "recover after a clean kill loses nothing" `Quick
       (fun () ->
         let fs, sup = fresh ~config:(cfg ~auto:2 ()) () in
         ignore (feed_all sup [ (1, txn_p 1); (2, txn_p 2); (3, txn_q 1) ]);
